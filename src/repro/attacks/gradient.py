@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import nn
 from ..nn import Tensor
 from ..rl.policy import ActorCritic
 from ..telemetry import current_telemetry
@@ -74,8 +73,7 @@ class PgdAttack:
     def _anchor(self, obs: np.ndarray):
         from ..nn import DiagGaussian
 
-        with nn.no_grad():
-            mean = self.victim.distribution(obs).mean.data.copy()
+        mean = self.victim.actor.infer(obs)
         return DiagGaussian(Tensor(mean), Tensor(self.victim.log_std.data.copy()))
 
     def action(self, obs: np.ndarray, rng: np.random.Generator | None = None,
@@ -177,8 +175,7 @@ class StrategicallyTimedAttack:
         return self._threshold
 
     def preference(self, obs: np.ndarray) -> float:
-        with nn.no_grad():
-            mean = self.victim.distribution(obs).mean.data
+        mean = self.victim.actor.infer(obs)
         return float(np.abs(mean).max())
 
     def _freeze_threshold(self, prefs, source: str) -> float:

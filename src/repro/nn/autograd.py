@@ -9,30 +9,42 @@ numpy broadcasting support.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 __all__ = ["Tensor", "as_tensor", "no_grad", "is_grad_enabled"]
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    """Per-thread count of open :class:`no_grad` scopes (like torch's TLS)."""
+
+    def __init__(self):
+        self.disabled = 0
+
+
+_grad_mode = _GradMode()
 
 
 class no_grad:
-    """Context manager that disables graph construction (like torch.no_grad)."""
+    """Context manager that disables graph construction (like torch.no_grad).
+
+    Grad mode is thread-local, and each scope counts itself in and out
+    rather than restoring a saved flag, so scopes that exit out of order
+    (interleaved threads or coroutines) cannot leave it disabled.
+    """
 
     def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        _grad_mode.disabled += 1
         return self
 
     def __exit__(self, *exc):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _grad_mode.disabled -= 1
         return False
 
 
 def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED
+    return _grad_mode.disabled == 0
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -59,7 +71,7 @@ class Tensor:
             data = data.data
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad = bool(requires_grad) and _grad_mode.disabled == 0
         self._backward = None
         self._parents: tuple = ()
 
@@ -115,7 +127,7 @@ class Tensor:
     @staticmethod
     def _make(data, parents, backward) -> "Tensor":
         out = Tensor(data)
-        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+        if _grad_mode.disabled == 0 and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward

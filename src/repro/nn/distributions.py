@@ -34,12 +34,31 @@ class DiagGaussian:
         return self.log_std.exp()
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        mean = self.mean.data
-        std = np.broadcast_to(np.exp(self.log_std.data), mean.shape)
-        return mean + std * rng.standard_normal(mean.shape)
+        return self.sample_array(self.mean.data, self.log_std.data, rng)
 
     def mode(self) -> np.ndarray:
         return self.mean.data.copy()
+
+    # Graph-free twins for the inference lane: plain arrays in and out,
+    # and the same numpy ops in the same order as sample/mode/log_prob,
+    # so rollouts keep their bytes and RNG draws (see DESIGN.md).
+
+    @staticmethod
+    def sample_array(mean: np.ndarray, log_std: np.ndarray, rng: np.random.Generator,
+                     deterministic: bool = False) -> np.ndarray:
+        """``mode()`` (a fresh copy of ``mean``) or ``sample(rng)`` on arrays."""
+        if deterministic:
+            return mean.copy()
+        std = np.broadcast_to(np.exp(log_std), mean.shape)
+        return mean + std * rng.standard_normal(mean.shape)
+
+    @staticmethod
+    def log_prob_array(actions: np.ndarray, mean: np.ndarray,
+                       log_std: np.ndarray) -> np.ndarray:
+        """``log_prob(actions).data`` without building a graph."""
+        z = (actions - mean) * np.exp(-log_std)
+        per_dim = z**2 * -0.5 - log_std - 0.5 * _LOG_2PI
+        return per_dim.sum(axis=-1)
 
     def log_prob(self, actions) -> Tensor:
         """Log density, summed over the action dimension."""

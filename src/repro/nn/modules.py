@@ -78,6 +78,10 @@ class Module:
     def forward(self, *args, **kwargs):
         raise NotImplementedError
 
+    def infer(self, x) -> np.ndarray:
+        """Graph-free forward on plain arrays (see DESIGN.md, "Inference lane")."""
+        raise NotImplementedError
+
 
 class Linear(Module):
     """Affine layer ``y = x @ W + b`` with orthogonal init."""
@@ -92,6 +96,11 @@ class Linear(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return x @ self.weight + self.bias
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        # Same ops, same order as forward; reads the live parameter arrays
+        # so optimizer steps and load_state_dict need no invalidation.
+        return x @ self.weight.data + self.bias.data
 
 
 # Module-level (not lambdas) so modules stay picklable — the process-pool
@@ -112,11 +121,29 @@ def _identity(t: Tensor) -> Tensor:
     return t
 
 
+def _relu_array(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0)
+
+
+def _sigmoid_array(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-x))
+
+
 _ACTIVATIONS = {
     "tanh": _tanh,
     "relu": _relu,
     "sigmoid": _sigmoid,
     "identity": _identity,
+}
+
+
+# Array twin of each activation for Module.infer: the numpy expression
+# its Tensor op evaluates, so both lanes produce the same bytes.
+_ARRAY_ACTIVATIONS = {
+    _tanh: np.tanh,
+    _relu: _relu_array,
+    _sigmoid: _sigmoid_array,
+    _identity: _identity,
 }
 
 
@@ -148,3 +175,10 @@ class MLP(Module):
         for layer in self.hidden:
             h = self.activation(layer(h))
         return self.output(h)
+
+    def infer(self, x) -> np.ndarray:
+        h = np.asarray(x, dtype=np.float64)
+        act = _ARRAY_ACTIVATIONS[self.activation]
+        for layer in self.hidden:
+            h = act(layer.infer(h))
+        return self.output.infer(h)

@@ -19,9 +19,22 @@ class RunningMeanStd:
         batch = np.asarray(batch, dtype=np.float64)
         if batch.ndim == len(self.mean.shape):
             batch = batch[None]
+        batch_count = batch.shape[0]
+        if batch_count == 1:
+            # One row (every rollout step): np.mean returns the row itself
+            # and np.var reduces to (row - row)**2 (exactly 0 unless the
+            # row is non-finite), so the Chan update below is reproduced
+            # byte for byte (x * 1 == x) without the np.mean/np.var calls.
+            row = batch[0]
+            delta = row - self.mean
+            total = self.count + 1
+            self.mean = self.mean + delta / total
+            m2 = self.var * self.count + (row - row)**2 + delta**2 * self.count / total
+            self.var = m2 / total
+            self.count = total
+            return
         batch_mean = batch.mean(axis=0)
         batch_var = batch.var(axis=0)
-        batch_count = batch.shape[0]
 
         delta = batch_mean - self.mean
         total = self.count + batch_count

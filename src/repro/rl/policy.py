@@ -53,6 +53,34 @@ class ActorCritic(nn.Module):
         """Policy distribution over actions; input must already be normalized."""
         return DiagGaussian(self.actor(normalized_obs), self.log_std)
 
+    def infer_action(self, normalized_obs: np.ndarray, rng: np.random.Generator,
+                     deterministic: bool = False) -> np.ndarray:
+        """Action for already-normalized input, from the actor alone.
+
+        Graph-free (``MLP.infer``): bit-identical to
+        ``distribution(x).mode()`` / ``.sample(rng)``, same RNG draws.
+        """
+        mean = self.actor.infer(normalized_obs)
+        return DiagGaussian.sample_array(mean, self.log_std.data, rng, deterministic)
+
+    def infer_step(self, normalized_obs: np.ndarray, rng: np.random.Generator,
+                   deterministic: bool = False):
+        """One graph-free rollout step on already-normalized input.
+
+        Returns ``(action, log_prob, value_e, value_i)`` as arrays (0-d
+        per scalar for a single observation, leading batch axis
+        otherwise), bit-identical to reading ``distribution``,
+        ``log_prob`` and the critic heads through the Tensor graph.
+        """
+        mean = self.actor.infer(normalized_obs)
+        log_std = self.log_std.data
+        action = DiagGaussian.sample_array(mean, log_std, rng, deterministic)
+        log_prob = DiagGaussian.log_prob_array(action, mean, log_std)
+        value_e = self.critic.infer(normalized_obs)[..., 0]
+        value_i = (self.critic_intrinsic.infer(normalized_obs)[..., 0] if self.dual_value
+                   else np.zeros(mean.shape[:-1]))
+        return action, log_prob, value_e, value_i
+
     def act(self, obs: np.ndarray, rng: np.random.Generator,
             deterministic: bool = False, update_normalizer: bool = False):
         """Single-step rollout action.
@@ -60,15 +88,8 @@ class ActorCritic(nn.Module):
         Returns ``(action, log_prob, value_e, value_i, normalized_obs)``.
         """
         normalized = self.normalize(obs, update=update_normalizer)
-        with nn.no_grad():
-            dist = self.distribution(normalized)
-            action = dist.mode() if deterministic else dist.sample(rng)
-            log_prob = float(dist.log_prob(action).data.item())
-            value_e = float(self.critic(normalized).data.item())
-            value_i = (
-                float(self.critic_intrinsic(normalized).data.item()) if self.dual_value else 0.0
-            )
-        return action, log_prob, value_e, value_i, normalized
+        action, log_prob, value_e, value_i = self.infer_step(normalized, rng, deterministic)
+        return action, float(log_prob), float(value_e), float(value_i), normalized
 
     def act_batch(self, obs: np.ndarray, rng: np.random.Generator,
                   deterministic: bool = False, update_normalizer: bool = False):
@@ -76,9 +97,10 @@ class ActorCritic(nn.Module):
 
         ``obs`` has shape (n_envs, obs_dim); returns ``(actions,
         log_probs, values_e, values_i, normalized_obs)`` with a leading
-        n_envs axis each.  A batch of one routes through :meth:`act` so
-        the forward pass and RNG draws are bit-identical to the serial
-        rollout path (the n_envs=1 parity guarantee).
+        n_envs axis each.  A batch of one routes through :meth:`act`
+        because a 1-row gemm need not be bit-equal to the serial path's
+        gemv: this keeps the forward pass and RNG draws identical to the
+        serial rollout path (the n_envs=1 parity guarantee).
         """
         obs = np.asarray(obs, dtype=np.float64)
         if obs.ndim != 2:
@@ -90,21 +112,17 @@ class ActorCritic(nn.Module):
             return (action[None].copy(), np.array([log_prob]),
                     np.array([value_e]), np.array([value_i]), normalized[None].copy())
         normalized = self.normalize(obs, update=update_normalizer)
-        with nn.no_grad():
-            dist = self.distribution(normalized)
-            actions = dist.mode() if deterministic else dist.sample(rng)
-            log_probs = dist.log_prob(actions).data.copy()
-            values_e = self.critic(normalized).data.reshape(-1).copy()
-            values_i = (
-                self.critic_intrinsic(normalized).data.reshape(-1).copy()
-                if self.dual_value else np.zeros(obs.shape[0])
-            )
+        actions, log_probs, values_e, values_i = self.infer_step(
+            normalized, rng, deterministic)
         return actions, log_probs, values_e, values_i, normalized
 
     def action(self, obs: np.ndarray, rng: np.random.Generator,
                deterministic: bool = False) -> np.ndarray:
-        """Convenience: just the action (used for deployed/fixed policies)."""
-        return self.act(obs, rng, deterministic=deterministic)[0]
+        """Convenience: just the action (used for deployed/fixed policies).
+
+        Runs only the actor; deployed policies never read values.
+        """
+        return self.infer_action(self.normalize(obs), rng, deterministic)
 
     # ----------------------------------------------------------------- values
 

@@ -195,6 +195,52 @@ class TestEngineMechanics:
         assert not y.requires_grad
         assert is_grad_enabled()
 
+    def test_no_grad_out_of_order_exit(self):
+        """Enter A, enter B, exit A, exit B must re-enable grad mode."""
+        a, b = no_grad(), no_grad()
+        a.__enter__()
+        b.__enter__()
+        a.__exit__(None, None, None)
+        assert not is_grad_enabled()  # B is still open
+        b.__exit__(None, None, None)
+        assert is_grad_enabled()
+        x = Tensor(np.ones(2), requires_grad=True)
+        assert (x * 2.0).requires_grad
+
+    def test_no_grad_is_thread_local(self):
+        """Two threads interleaving scopes see only their own grad mode."""
+        import threading
+
+        steps = [threading.Event() for _ in range(4)]
+        seen: dict[str, bool] = {}
+
+        def worker_a():
+            with no_grad():
+                steps[0].set()
+                steps[1].wait(5)
+                seen["a_inside"] = is_grad_enabled()
+            steps[2].set()
+
+        def worker_b():
+            steps[0].wait(5)
+            seen["b_before"] = is_grad_enabled()  # A's scope is open
+            with no_grad():
+                steps[1].set()
+                steps[2].wait(5)  # A exits while B's scope is open
+                seen["b_inside"] = is_grad_enabled()
+            seen["b_after"] = is_grad_enabled()
+            steps[3].set()
+
+        threads = [threading.Thread(target=worker_a), threading.Thread(target=worker_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+        assert steps[3].is_set()
+        assert seen == {"a_inside": False, "b_before": True,
+                        "b_inside": False, "b_after": True}
+        assert is_grad_enabled()  # the main thread never entered a scope
+
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with pytest.raises(ValueError):

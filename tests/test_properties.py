@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from repro.attacks.base import knn_feature
 from repro.density import KnnDensityEstimator, ParzenDensityEstimator, knn_distances
 from repro.eval.metrics import bootstrap_ci
+from repro.rl.normalize import RunningMeanStd
 
 finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                    allow_infinity=False)
@@ -89,6 +90,65 @@ class TestKnnFeatureFallback:
         value = knn_feature({"knn_victim": feature}, "knn_victim", 99)
         assert value.dtype == np.float64
         assert np.array_equal(value, np.asarray(feature, dtype=np.float64))
+
+
+# --- running statistics --------------------------------------------------
+
+
+def _chan_update(state: dict, batch: np.ndarray) -> None:
+    """The general Chan et al. update every batch size used to take."""
+    batch = np.asarray(batch, dtype=np.float64)
+    if batch.ndim == state["mean"].ndim:
+        batch = batch[None]
+    batch_mean = batch.mean(axis=0)
+    batch_var = batch.var(axis=0)
+    batch_count = batch.shape[0]
+    delta = batch_mean - state["mean"]
+    total = state["count"] + batch_count
+    new_mean = state["mean"] + delta * batch_count / total
+    m_a = state["var"] * state["count"]
+    m_b = batch_var * batch_count
+    m2 = m_a + m_b + delta**2 * state["count"] * batch_count / total
+    state.update(mean=new_mean, var=m2 / total, count=total)
+
+
+class TestRunningMeanStdProperties:
+    @settings(deadline=None, max_examples=60)
+    @given(dim=st.integers(1, 5),
+           sizes=st.lists(st.one_of(st.none(), st.integers(1, 6)),
+                          min_size=1, max_size=12),
+           scale=st.floats(1e-3, 1e4), seed=st.integers(0, 2**31 - 1))
+    def test_single_row_updates_match_general_path(self, dim, sizes, scale, seed):
+        """Interleaved single rows (1-d or (1, d)) and batches leave the
+        statistics byte-equal to the general Chan update."""
+        rng = np.random.default_rng(seed)
+        rms = RunningMeanStd((dim,))
+        ref = {"mean": np.zeros(dim), "var": np.ones(dim), "count": 1e-4}
+        for size in sizes:
+            shape = (dim,) if size is None else (size, dim)
+            batch = rng.standard_normal(shape) * scale + rng.standard_normal()
+            rms.update(batch)
+            _chan_update(ref, batch)
+            assert rms.mean.tobytes() == ref["mean"].tobytes()
+            assert rms.var.tobytes() == ref["var"].tobytes()
+            assert np.float64(rms.count).tobytes() == np.float64(ref["count"]).tobytes()
+
+    @settings(deadline=None, max_examples=40)
+    @given(values=st.lists(st.one_of(finite, st.sampled_from(
+        [np.inf, -np.inf, np.nan])), min_size=1, max_size=20))
+    def test_scalar_stream_matches_general_path(self, values):
+        """The reward normalizer's shape-() statistics, one value at a time
+        (non-finite values included: the single-row path must poison the
+        statistics exactly as np.var would)."""
+        rms = RunningMeanStd(())
+        ref = {"mean": np.zeros(()), "var": np.ones(()), "count": 1e-4}
+        with np.errstate(invalid="ignore"):
+            for value in values:
+                rms.update(np.array([value]))
+                _chan_update(ref, np.array([value]))
+        assert np.float64(rms.mean).tobytes() == np.float64(ref["mean"]).tobytes()
+        assert np.float64(rms.var).tobytes() == np.float64(ref["var"]).tobytes()
+        assert rms.count == ref["count"]
 
 
 # --- Parzen -------------------------------------------------------------
